@@ -19,9 +19,10 @@ vocabulary regardless of how batches are executed:
   window of consecutive pending batches, the backend returns the merged
   prefix of their executions (merges strictly in submission order, each
   stamped with its ``truth_span`` for per-batch journaling).  The default
-  implementation is the per-batch barrier; the pooled backend overrides it
-  with the DAG-walking dispatcher in :mod:`repro.serving.service`, whose
-  shard-level dependency analysis lives in :mod:`repro.serving.pipeline`.
+  implementation is a per-batch barrier.  The pooled backend has one
+  DAG-walking dispatcher in :mod:`repro.serving.service` (shard-level
+  dependency analysis in :mod:`repro.serving.pipeline`): a window overlaps
+  batches on it, and a lone batch runs on it as a window of one.
 
 The module also hosts the serving layer's two comparison/wire primitives:
 
@@ -186,8 +187,8 @@ class BatchExecution:
     #: ``(before, after)`` parent truth cursors around this batch's merge —
     #: recorded by :meth:`ServingBackend.execute_window` so the service can
     #: journal each batch's own truth delta even when several batches merged
-    #: inside one window call.  ``None`` on the plain ``execute_batch`` path,
-    #: where the caller brackets the cursors itself.
+    #: inside one window call.  ``None`` when an ``execute_batch`` leaves it
+    #: unset; the caller then brackets the cursors itself.
     truth_span: Optional[Tuple[int, int]] = None
 
 
@@ -237,12 +238,12 @@ class ServingBackend(abc.ABC):
     def execute_window(self, batches: Sequence[WindowBatch]) -> List[BatchExecution]:
         """Execute a window of consecutive batches; return the merged prefix.
 
-        The default implementation is the barrier scheduler: each batch runs
+        The default is a barrier (:meth:`_execute_barrier`): each batch runs
         through :meth:`execute_batch` in submission order, one at a time —
         byte-for-byte the behaviour of calling the service without a window.
-        Backends that can overlap batches (the pooled backend's DAG
-        dispatcher) override this, but every override must keep the window
-        contract:
+        The pooled backend overrides this to overlap batches, walking the
+        same dispatcher its :meth:`execute_batch` uses (a lone batch is a
+        window of one).  Every override must keep the window contract:
 
         * batches **merge strictly in submission order** — the parent
           planner's state after the call is exactly the sequential prefix;
@@ -255,20 +256,33 @@ class ServingBackend(abc.ABC):
           deterministically when the failing batch is retried at the head of
           a later window); only a failure of the **first** batch raises.
         """
+        return self._execute_barrier(batches, self.planner)
+
+    def _execute_barrier(
+        self,
+        batches: Sequence[WindowBatch],
+        planner: Optional[CrowdPlanner],
+        **batch_kwargs,
+    ) -> List[BatchExecution]:
+        """The barrier: one :meth:`execute_batch` per batch (extra keyword
+        arguments passed through), each ``truth_span`` bracketed on
+        ``planner``'s truth cursor — under tenancy, the tenant's planner —
+        keeping the window contract's prefix semantics."""
+        cursor = planner.truth_cursor if planner is not None else (lambda: 0)
         executions: List[BatchExecution] = []
         for batch in batches:
-            before = self.planner.truth_cursor() if self.planner is not None else 0
+            before = cursor()
             try:
                 execution = self.execute_batch(
                     batch.queries,
                     share_candidate_generation=batch.share_candidate_generation,
+                    **batch_kwargs,
                 )
             except Exception:
                 if executions:
                     break
                 raise
-            after = self.planner.truth_cursor() if self.planner is not None else 0
-            execution.truth_span = (before, after)
+            execution.truth_span = (before, cursor())
             executions.append(execution)
         return executions
 

@@ -24,7 +24,8 @@ that answers a *stream* of query batches instead of one-shot calls.
   (:meth:`PooledBackend.execute_window`, dependencies from
   :mod:`repro.serving.pipeline`) overlaps shards across batch boundaries
   wherever their interaction closures are disjoint, while merges — and so
-  all observable state — stay strictly in submission order.
+  all observable state — stay strictly in submission order.  It is the
+  pool's only dispatcher: a lone batch runs on it as a window of one.
 
 Service contract
 ----------------
@@ -42,6 +43,7 @@ answers because batch-level optimisations are performance-only channels
 from __future__ import annotations
 
 import dataclasses
+import functools
 import multiprocessing
 import os
 import random
@@ -76,7 +78,6 @@ from .shards import (
     ShardJob,
     ShardOutcome,
     build_tenant_planner,
-    execute_jobs_inline,
     execute_shard_job,
     handoff_id_base,
     merge_shard_outcomes,
@@ -297,6 +298,17 @@ class _PoolWorker:
             pass
 
 
+#: A dispatcher queue entry: ``(batch_index, job, resubmitted)`` — the flag
+#: survives requeues so provenance can attribute the outcome to supervision.
+_Entry = Tuple[int, ShardJob, bool]
+
+
+def _shard_key(entry: _Entry) -> Tuple[int, int]:
+    """A shard's identity across duplicate (hedged) dispatches: shard ids
+    are per batch, so the window key is ``(batch_index, shard_id)``."""
+    return entry[0], entry[1].shard_id
+
+
 class PooledBackend(ServingBackend):
     """Persistent forked worker pool with warm truth partitions.
 
@@ -306,12 +318,15 @@ class PooledBackend(ServingBackend):
     sync with the parent via streamed deltas, so consecutive batches pay
     only shard-clone construction, never a fork or a whole-store clone.
 
-    ``persistent=False`` degrades to the old per-batch behaviour (fork,
-    serve one batch, stop) — kept as the baseline the ``crowd_stream``
-    benchmark and the deprecated engine shim measure against.  When
-    ``use_processes`` is false or the platform offers no ``fork`` start
-    method, shards execute inline through the same clone-and-merge
-    machinery, keeping results identical everywhere.
+    One dispatcher serves every batch: :meth:`execute_window` walks a
+    window's shard DAG on the pool, and :meth:`execute_batch` runs a lone
+    batch through the same walker as a window of one.  ``persistent=False``
+    degrades to the old per-batch behaviour (fork, serve one batch, stop) —
+    kept as the baseline the ``crowd_stream`` benchmark and the deprecated
+    engine shim measure against.  When ``use_processes`` is false or the
+    platform offers no ``fork`` start method, the dispatcher has no workers
+    and runs every shard through its in-process tail, the same
+    clone-and-merge machinery, keeping results identical everywhere.
 
     Truth deltas stream to workers in the codec named by ``truth_wire``:
     ``"columnar"`` (default) encodes each delta as a
@@ -616,29 +631,26 @@ class PooledBackend(ServingBackend):
     def close(self) -> None:
         self._stop_pool()
 
-    # ------------------------------------------------------ hotspot splitting
-    def _split_plan(
-        self, planner: CrowdPlanner, plan: ShardPlan, queries: Sequence[RouteQuery]
+    # --------------------------------------------------------------- planning
+    def _plan(
+        self,
+        planner: CrowdPlanner,
+        queries: Sequence[RouteQuery],
+        plan: Optional[ShardPlan] = None,
     ) -> ShardPlan:
-        """Apply the configured ``max_shard_fraction`` split (idempotent)."""
-        if self.max_shard_fraction is None:
-            return plan
-        return split_oversized(planner, plan, queries, self.max_shard_fraction)
-
-    def _note_plan(self, before: ShardPlan, after: ShardPlan) -> None:
-        """Record one batch's skew diagnostics (see ``sharding_stats``)."""
-        self.last_shard_fraction_before = before.largest_shard_fraction()
-        self.last_shard_fraction_after = after.largest_shard_fraction()
-        self.last_chain_depth = after.chain_depth()
+        """Shard-plan one batch (unless ``plan`` is given), apply the
+        configured ``max_shard_fraction`` split (idempotent) and record the
+        batch's skew diagnostics (see ``sharding_stats``)."""
+        raw = plan if plan is not None else planner.shard_plan(queries, self.resolved_pool_size())
+        split = raw
+        if self.max_shard_fraction is not None:
+            split = split_oversized(planner, raw, queries, self.max_shard_fraction)
+        self.last_shard_fraction_before = raw.largest_shard_fraction()
+        self.last_shard_fraction_after = split.largest_shard_fraction()
+        self.last_chain_depth = split.chain_depth()
         self.max_chain_depth = max(self.max_chain_depth, self.last_chain_depth)
-        self.sub_shards_total += max(0, len(after.shards) - len(before.shards))
-
-    def _chain_encoder(self):
-        """Hand-off payload codec: columnar on the wire, objects otherwise."""
-        if self.truth_wire != "columnar":
-            return None
-        network = self.planner.network
-        return lambda truths: encode_truth_delta(truths, network)
+        self.sub_shards_total += max(0, len(split.shards) - len(raw.shards))
+        return split
 
     # ------------------------------------------------------------- execution
     def execute_batch(
@@ -648,95 +660,33 @@ class PooledBackend(ServingBackend):
         plan: Optional[ShardPlan] = None,
         tenant: str = DEFAULT_TENANT,
     ) -> BatchExecution:
+        """Serve one batch as a window of one through the window dispatcher.
+
+        An explicit ``plan`` is honoured (then hotspot-split).  A lone batch
+        has no cross-batch structure: every shard's dependency is ``-1``, and
+        no window is counted in ``pipeline_stats``.  Its ``execute_s`` spans
+        pool start-up too, so the admission controller's plan + execute +
+        merge estimate includes the fork a cold batch pays.
+        """
         if self.planner is None:
             raise ServingError("backend is not bound to a planner")
         planner = self._planner_for(tenant)
         queries = list(queries)
         if not queries:
             return BatchExecution(results=[], origins=[])
-        counters_before = self._counter_snapshot()
-
         started = time.perf_counter()
-        if plan is None:
-            plan = planner.shard_plan(queries, self.resolved_pool_size())
-        raw_plan = plan
-        plan = self._split_plan(planner, plan, queries)
-        self._note_plan(raw_plan, plan)
+        plan = self._plan(planner, queries, plan)
         plan_s = time.perf_counter() - started
-
-        # Warm shared read-only state before any fork so first-batch workers
-        # inherit the compiled graph and source caches instead of rebuilding
-        # them per process.
-        planner.warm_batch(queries)
-        jobs = [
-            ShardJob(
-                shard_id=shard.shard_id,
-                indices=shard.indices,
-                destination_cells=shard.destination_cells,
-                queries=[queries[index] for index in shard.indices],
-                share_candidate_generation=share_candidate_generation,
-                predecessors=shard.predecessors,
-                handoff_from=shard.handoff_from,
-                tenant=tenant,
-            )
-            for shard in plan.shards
-        ]
-
-        started = time.perf_counter()
-        warm = False
-        resubmitted: Set[int] = set()
-        respawns = 0
-        degraded = False
-        if self._can_fork():
-            # Warm only when an existing pool served this batch — a re-fork
-            # after a whole-pool loss is a cold batch like the first one
-            # (replacing individual dead workers is not: the survivors'
-            # warm state is what the batch runs on).
-            warm = not self._ensure_pool()
-            if warm:
-                self._poll_lame()
-                self._respawn_dead()
-            try:
-                chain = ChainState(jobs, handoff_id_base(), self._chain_encoder())
-                outcomes, resubmitted, respawns, degraded = self._run_on_pool(
-                    jobs, chain, tenant
-                )
-            finally:
-                if not self.persistent:
-                    self._stop_pool()
-        else:
-            outcomes = execute_jobs_inline(
-                planner, jobs, ChainState(jobs, handoff_id_base())
-            )
-        execute_s = time.perf_counter() - started
-        if degraded:
-            self.degraded_batches += 1
-
-        started = time.perf_counter()
-        results = merge_shard_outcomes(planner, len(queries), outcomes)
-        merge_s = time.perf_counter() - started
-
-        self.batches_executed += 1
-        self._attribute_counters(tenant, counters_before, batches=1)
-        if self._workers and self.batches_executed % self.merge_every_batches == 0:
-            self._push_sync(tenant)
-
-        origins: List[Tuple[Optional[int], Optional[int]]] = [(None, None)] * len(queries)
-        for outcome in outcomes:
-            for index in outcome.indices:
-                origins[index] = (outcome.shard_id, outcome.worker_pid)
-        return BatchExecution(
-            results=results,
-            origins=origins,
-            plan_s=plan_s,
-            execute_s=execute_s,
-            merge_s=merge_s,
-            warm_pool=warm,
-            resubmitted=(
-                [origin[0] in resubmitted for origin in origins] if resubmitted else None
-            ),
-            respawn_count=respawns,
+        (execution,), elapsed = self._execute_planned(
+            planner,
+            [WindowBatch(queries, share_candidate_generation)],
+            [plan],
+            [plan_s],
+            [[-1] * len(plan.shards)],
+            tenant,
         )
+        execution.execute_s = elapsed - execution.merge_s
+        return execution
 
     def execute_window(
         self, batches: Sequence[WindowBatch], tenant: str = DEFAULT_TENANT
@@ -750,19 +700,20 @@ class PooledBackend(ServingBackend):
         dependency has merged — it need not wait for the whole previous
         batch.  Merges still happen strictly in submission order (the window
         contract), so parent truth-id issuance — and with it every
-        fingerprint — is identical to the barrier scheduler and to the
-        sequential oracle.
+        fingerprint — is identical to a barrier and to the sequential
+        oracle.  The dispatcher is the one :meth:`execute_batch` walks: a
+        lone batch is simply a window of one.
 
-        Degenerate windows fall back to the barrier scheduler byte for byte:
-        a single-batch window, a non-persistent pool (the per-batch baseline
-        has nothing to keep warm across batches), and platforms without
-        ``fork`` all delegate to the default :meth:`ServingBackend.execute_window`.
+        Degenerate windows run as a barrier, one :meth:`execute_batch` per
+        batch: a single-batch window, a non-persistent pool (the per-batch
+        baseline has nothing to keep warm across batches), and platforms
+        without ``fork``.
 
-        Supervision carries over from the barrier path with two per-window
-        readings: ``max_respawns_per_batch`` acts as a per-*window* respawn
-        budget, and ``warm_pool``/``respawn_count`` provenance fields are
-        window-level (all batches of a window report the same warm flag and
-        the respawns seen up to their own merge).
+        Two supervision readings are per *window*: ``max_respawns_per_batch``
+        is the window's respawn budget, and the ``warm_pool``/
+        ``respawn_count`` provenance fields are window-level (all batches of
+        a window report the same warm flag and the respawns seen up to their
+        own merge).
         """
         if self.planner is None:
             raise ServingError("backend is not bound to a planner")
@@ -772,23 +723,47 @@ class PooledBackend(ServingBackend):
             for batch in batches
         ]
         if len(window) <= 1 or not self.persistent or not self._can_fork():
-            return self._execute_window_barrier(window, tenant)
+            # The tenant kwarg is threaded only when set, so subclasses that
+            # override ``execute_batch`` with the base signature keep
+            # working for the default tenant.
+            kwargs = {} if tenant == DEFAULT_TENANT else {"tenant": tenant}
+            return self._execute_barrier(window, planner, **kwargs)
 
-        counters_before = self._counter_snapshot()
         plans: List[ShardPlan] = []
         plan_times: List[float] = []
         for batch in window:
             started = time.perf_counter()
-            raw_plan = planner.shard_plan(batch.queries, self.resolved_pool_size())
-            split_plan = self._split_plan(planner, raw_plan, batch.queries)
-            self._note_plan(raw_plan, split_plan)
-            plans.append(split_plan)
+            plans.append(self._plan(planner, batch.queries))
             plan_times.append(time.perf_counter() - started)
         deps = batch_dependencies(plans)
         parallelism = window_parallelism(deps)
         self.independent_shards_total += parallelism["independent_shards"]
         self.cross_batch_edges_total += parallelism["cross_batch_edges"]
         self.serialized_batches_total += parallelism["serialized_batches"]
+        executions, _ = self._execute_planned(planner, window, plans, plan_times, deps, tenant)
+        self.windows_executed += 1
+        return executions
+
+    def _execute_planned(
+        self,
+        planner: CrowdPlanner,
+        window: List[WindowBatch],
+        plans: List[ShardPlan],
+        plan_times: List[float],
+        deps: List[List[int]],
+        tenant: str,
+    ) -> Tuple[List[BatchExecution], float]:
+        """Run planned batches through :meth:`_run_window`, with the pool
+        lifecycle and sync cadence around it.
+
+        Returns the merged executions and the wall-clock from pool start-up
+        to the end of dispatch (a non-persistent pool's stop included).
+        """
+        counters_before = self._counter_snapshot()
+        syncs_before = self._tenant_counters(tenant)["batches"] // self.merge_every_batches
+        # Warm shared read-only state before any fork so first-batch workers
+        # inherit the compiled graph and source caches instead of rebuilding
+        # them per process.
         planner.warm_batch([query for batch in window for query in batch.queries])
         jobs_per_batch: List[List[ShardJob]] = [
             [
@@ -806,64 +781,46 @@ class PooledBackend(ServingBackend):
             ]
             for batch, plan in zip(window, plans)
         ]
+        forking = self._can_fork()
         # Per-batch hand-off chains: id bases are pre-computed stripes above
         # the current watermark, so retagged hand-off ids of a later batch
         # stay above everything merged while earlier batches complete.
-        encoder = self._chain_encoder()
+        # Payloads cross the pipe columnar; in-process they stay objects.
+        encoder = None
+        if forking and self.truth_wire == "columnar":
+            encoder = functools.partial(encode_truth_delta, network=self.planner.network)
         chains = [
             ChainState(jobs, handoff_id_base(batch_offset), encoder)
             for batch_offset, jobs in enumerate(jobs_per_batch)
         ]
 
-        warm = not self._ensure_pool()
-        if warm:
-            self._poll_lame()
-            self._respawn_dead()
-        batches_before = self.batches_executed
-        executions = self._run_window(
-            window, plan_times, jobs_per_batch, deps, warm, chains, tenant
-        )
-        self.windows_executed += 1
+        started = time.perf_counter()
+        warm = False
+        try:
+            if forking:
+                # Warm only when an existing pool served this batch — a
+                # re-fork after a whole-pool loss is a cold batch like the
+                # first one (replacing individual dead workers is not: the
+                # survivors' warm state is what the batch runs on).
+                warm = not self._ensure_pool()
+                if warm:
+                    self._poll_lame()
+                    self._respawn_dead()
+            executions = self._run_window(window, plan_times, jobs_per_batch, deps, warm, chains, tenant)
+        finally:
+            if not self.persistent:
+                self._stop_pool()
+        elapsed = time.perf_counter() - started
         self._attribute_counters(tenant, counters_before, batches=len(executions))
-        # Sync cadence at the window edge (never mid-window: a blocking
+        batches = self._tenant_counters(tenant)["batches"]
+        # Sync cadence at the dispatch edge (never mid-window: a blocking
         # "synced" round-trip while shards are in flight would swallow their
-        # "done" replies).  Crossing any multiple of the cadence inside the
-        # window triggers one sync here.
-        if self._workers and (
-            self.batches_executed // self.merge_every_batches
-            > batches_before // self.merge_every_batches
-        ):
+        # "done" replies).  Crossing any multiple of the cadence triggers one
+        # sync.  The cadence counts the tenant's own batches, because only
+        # its workers' cursors are pushed forward here.
+        if self._workers and batches // self.merge_every_batches > syncs_before:
             self._push_sync(tenant)
-        return executions
-
-    def _execute_window_barrier(
-        self, window: List[WindowBatch], tenant: str
-    ) -> List[BatchExecution]:
-        """The barrier scheduler with tenant threading: each batch through
-        :meth:`execute_batch` in submission order, ``truth_span`` bracketed
-        on the *tenant's* truth cursor (mirrors the default
-        :meth:`ServingBackend.execute_window` contract byte for byte)."""
-        planner = self._planner_for(tenant)
-        executions: List[BatchExecution] = []
-        for batch in window:
-            before = planner.truth_cursor()
-            # The tenant kwarg is threaded only when set, so subclasses that
-            # override ``execute_batch`` with the base signature keep
-            # working for the default tenant.
-            kwargs = {} if tenant == DEFAULT_TENANT else {"tenant": tenant}
-            try:
-                execution = self.execute_batch(
-                    batch.queries,
-                    share_candidate_generation=batch.share_candidate_generation,
-                    **kwargs,
-                )
-            except Exception:
-                if executions:
-                    break
-                raise
-            execution.truth_span = (before, planner.truth_cursor())
-            executions.append(execution)
-        return executions
+        return executions, elapsed
 
     def _run_window(
         self,
@@ -875,7 +832,13 @@ class PooledBackend(ServingBackend):
         chains: List[ChainState],
         tenant: str = DEFAULT_TENANT,
     ) -> List[BatchExecution]:
-        """DAG dispatch + supervision for one window (see ``execute_window``).
+        """The pool dispatcher: DAG dispatch + supervision for one window.
+
+        Every pooled batch runs here — :meth:`execute_batch` as a window of
+        one whose dependencies are all ``-1``.  Dispatch is pull-based, one
+        shard per dispatch: each idle worker takes the next ready shard as
+        soon as it finishes its previous one (like ``Pool.map`` with chunk
+        size 1), so one giant shard never serialises small ones behind it.
 
         The scheduler keeps two shard pools: ``ready`` (dependency already
         merged — dispatchable now, in (batch, shard) order so the merge
@@ -892,19 +855,23 @@ class PooledBackend(ServingBackend):
         hand-off payload, so a resubmitted sub-shard adopts exactly the same
         truths as the first attempt.
 
-        Fault handling mirrors :meth:`_run_on_pool`: a crashed, desynced or
-        hung in-flight worker gets its shard requeued at the *front* of the
-        ready queue (its dependency is already satisfied, and the frontier
-        may be waiting on it) and a replacement forked budget permitting;
-        with the whole pool gone and the breaker open, the remaining shards
-        degrade to in-process execution in strict batch order with frontier
-        merges between batches — the parent then holds exactly the
-        sequential prefix each shard would have seen, so results are
+        The supervisor declares an in-flight worker dead on pipe EOF
+        (crash), on desync (its warm base can no longer be trusted), or on
+        silence past ``rpc_deadline_s`` with no heartbeat (hung — killed
+        outright, since SIGKILL works where a reply never will).  Its shard
+        is requeued at the *front* of the ready queue (its dependency is
+        already satisfied, and the frontier may be waiting on it) and a
+        replacement forked, budget permitting.  With no worker left and none
+        forkable — the breaker open, or a fork-less backend that never had a
+        pool — the remaining shards run in-process in strict batch order
+        with frontier merges between batches: the parent then holds exactly
+        the sequential prefix each shard would have seen, so results are
         unchanged.  A shard *execution* error stops dispatching, drains
         in-flight workers (their frontier batches may still merge), and the
         merged prefix is returned; the failing batch never merges, so it
         stays pending at the service and the error re-raises
-        deterministically when it heads a later window.
+        deterministically when it heads a later window (or, heading the
+        window, raises here).
         """
         planner = self._planner_for(tenant)
         num_batches = len(window)
@@ -918,18 +885,19 @@ class PooledBackend(ServingBackend):
         respawns = 0
         degraded = False
         error: Optional[str] = None
-        # Hedging state (see ``_run_on_pool``); shard ids are per-batch, so
-        # duplicates are keyed ``(batch_index, shard_id)`` here.
+        # Hedging state: shards with a recorded outcome (duplicates discard
+        # against this), workers whose in-flight dispatch is the speculative
+        # copy, and per-dispatch wall-clock starts for the hedge budget.
+        # Shard ids are per-batch, so shards are keyed (batch_index, shard_id).
         completed: Set[Tuple[int, int]] = set()
         hedge_workers: Set[_PoolWorker] = set()
         dispatched_at: Dict[_PoolWorker, float] = {}
 
-        # Entries are (batch_index, job, resubmitted).
-        ready: "deque[Tuple[int, ShardJob, bool]]" = deque()
-        blocked: Dict[int, List[Tuple[int, ShardJob, bool]]] = {}
-        chain_blocked: Dict[int, List[Tuple[int, ShardJob, bool]]] = {}
+        ready: "deque[_Entry]" = deque()
+        blocked: Dict[int, List[_Entry]] = {}
+        chain_blocked: Dict[int, List[_Entry]] = {}
 
-        def release(entry: Tuple[int, ShardJob, bool]) -> None:
+        def release(entry: _Entry) -> None:
             """Queue an entry whose cross-batch dependency is satisfied."""
             if entry[1].predecessors and not chains[entry[0]].ready(entry[1]):
                 chain_blocked.setdefault(entry[0], []).append(entry)
@@ -941,7 +909,7 @@ class PooledBackend(ServingBackend):
             waiting = chain_blocked.pop(batch_index, None)
             if not waiting:
                 return
-            still: List[Tuple[int, ShardJob, bool]] = []
+            still: List[_Entry] = []
             for entry in waiting:
                 if chains[batch_index].ready(entry[1]):
                     ready.append(entry)
@@ -1015,17 +983,15 @@ class PooledBackend(ServingBackend):
                 for entry in blocked.pop(batch_index, ()):
                     release(entry)
 
-        def lost(entry: Tuple[int, ShardJob, bool]) -> None:
+        def lost(entry: _Entry) -> None:
             """Requeue a dead worker's shard and try to restore capacity.
 
             With hedging, the shard may already be recorded or still
             covered by a surviving duplicate dispatch — requeuing then
             would double-serve it and break the merge accounting."""
             nonlocal respawns
-            key = (entry[0], entry[1].shard_id)
-            covered = key in completed or any(
-                (peer[0], peer[1].shard_id) == key for peer in inflight.values()
-            )
+            key = _shard_key(entry)
+            covered = key in completed or any(_shard_key(peer) == key for peer in inflight.values())
             if not covered:
                 # Front of the queue: the frontier may be waiting on this
                 # shard, and its dependency is already satisfied.
@@ -1036,11 +1002,7 @@ class PooledBackend(ServingBackend):
 
         def retire_losers(key: Tuple[int, int]) -> None:
             """Move every other in-flight dispatch of a won shard to lame."""
-            for peer in [
-                peer
-                for peer, peer_entry in inflight.items()
-                if (peer_entry[0], peer_entry[1].shard_id) == key
-            ]:
+            for peer in [peer for peer, entry in inflight.items() if _shard_key(entry) == key]:
                 del inflight[peer]
                 dispatched_at.pop(peer, None)
                 if peer in hedge_workers:
@@ -1050,7 +1012,7 @@ class PooledBackend(ServingBackend):
 
         merge_frontier()  # zero-shard batches at the head merge immediately
 
-        inflight: Dict[_PoolWorker, Tuple[int, ShardJob, bool]] = {}
+        inflight: Dict[_PoolWorker, _Entry] = {}
         while ((ready or blocked or chain_blocked) and error is None) or inflight:
             self._poll_lame()
             if error is None:
@@ -1074,13 +1036,7 @@ class PooledBackend(ServingBackend):
                     else:
                         ready.appendleft(entry)
                 if self.hedge_after_s is not None and not ready and inflight:
-                    self._hedge_stragglers(
-                        inflight,
-                        dispatched_at,
-                        hedge_workers,
-                        key_of=lambda e: (e[0], e[1].shard_id),
-                        job_of=lambda e: e[1],
-                    )
+                    self._hedge_stragglers(inflight, dispatched_at, hedge_workers)
                 if (
                     (ready or blocked or chain_blocked)
                     and not inflight
@@ -1090,14 +1046,16 @@ class PooledBackend(ServingBackend):
                     if replacement is not None:
                         respawns += 1
                         continue
-                    # Whole pool gone, breaker open: degrade in strict batch
-                    # order with frontier merges between batches, so each
-                    # in-process shard executes against exactly the
-                    # sequential prefix.  Within a batch, shard-id order is a
+                    # No worker and none forkable: run in-process in strict
+                    # batch order with frontier merges between batches, so
+                    # each shard executes against exactly the sequential
+                    # prefix.  Within a batch, shard-id order is a
                     # topological order of its hand-off chain, so every
                     # sub-shard's payload is available when it executes.
-                    degraded = True
-                    remaining: Dict[int, List[Tuple[int, ShardJob, bool]]] = {}
+                    # Only a lost pool counts as degraded: a fork-less
+                    # backend never had one, and this is its normal path.
+                    degraded = self._can_fork()
+                    remaining: Dict[int, List[_Entry]] = {}
                     for entry in ready:
                         remaining.setdefault(entry[0], []).append(entry)
                     for entries in blocked.values():
@@ -1162,7 +1120,7 @@ class PooledBackend(ServingBackend):
                         lost(entry)
                     elif reply[0] == "done":
                         worker.touch()
-                        key = (entry[0], entry[1].shard_id)
+                        key = _shard_key(entry)
                         if key in completed:
                             # Stale duplicate of an already-recorded shard:
                             # bit-identical by the content-keyed crowd RNG,
@@ -1389,29 +1347,21 @@ class PooledBackend(ServingBackend):
 
     def _hedge_stragglers(
         self,
-        inflight: Dict[_PoolWorker, Any],
+        inflight: Dict[_PoolWorker, _Entry],
         dispatched_at: Dict[_PoolWorker, float],
         hedge_workers: Set[_PoolWorker],
-        key_of=None,
-        job_of=None,
     ) -> None:
         """Speculatively duplicate overdue dispatches onto idle workers.
 
-        Called by both dispatchers once their queues are empty but workers
+        Called by the dispatcher once its ready queue is empty but workers
         idle: any in-flight shard whose wall-clock exceeds ``hedge_after_s``
         — its worker still heartbeating, so the hang supervisor will never
         fire — is re-dispatched (same job object, same memoised hand-off
         payload) to an idle worker.  First outcome wins; the loser goes
         lame (see ``_retire_to_lame``).  One hedge per shard: racing more
         than two copies buys nothing the content-keyed RNG has not already
-        guaranteed.  ``key_of`` identifies a shard across duplicate entries
-        (``(batch, shard_id)`` under windows), ``job_of`` extracts the
-        :class:`ShardJob` from a dispatcher entry.
+        guaranteed.
         """
-        if key_of is None:
-            key_of = lambda entry: entry[0].shard_id  # noqa: E731
-        if job_of is None:
-            job_of = lambda entry: entry[0]  # noqa: E731
         idle = [
             worker
             for worker in self._alive_workers()
@@ -1432,12 +1382,12 @@ class PooledBackend(ServingBackend):
         )
         for _, straggler in overdue:
             entry = inflight[straggler]
-            key = key_of(entry)
-            if sum(1 for peer in inflight.values() if key_of(peer) == key) > 1:
+            key = _shard_key(entry)
+            if sum(1 for peer in inflight.values() if _shard_key(peer) == key) > 1:
                 continue  # already hedged
             while idle:
                 worker = idle.pop(0)
-                if self._dispatch(worker, [job_of(entry)]):
+                if self._dispatch(worker, [entry[1]]):
                     worker.touch()
                     inflight[worker] = entry
                     dispatched_at[worker] = now
@@ -1544,230 +1494,6 @@ class PooledBackend(ServingBackend):
             return False
         worker.cursors[tenant] = self._planner_for(tenant).truth_cursor()
         return True
-
-    def _run_on_pool(
-        self,
-        jobs: List[ShardJob],
-        chain: Optional[ChainState] = None,
-        tenant: str = DEFAULT_TENANT,
-    ) -> Tuple[List[ShardOutcome], Set[int], int, bool]:
-        """Serve jobs on the pool with dynamic pull dispatch + supervision.
-
-        One job per dispatch: each idle worker pulls the next queued job as
-        soon as it finishes its previous one (like ``Pool.map`` with chunk
-        size 1), so a skewed batch — one giant shard plus several small
-        ones — never serialises small shards behind the giant.
-
-        With a ``chain``, sub-shards whose hand-off predecessors have not
-        completed wait aside until the chain marks them ready; dispatch
-        attaches each sub-shard's (memoised) adopt payload, so resubmission
-        after a fault replays the identical hand-off truths.
-
-        The supervisor declares an in-flight worker dead on pipe EOF
-        (crash), on desync (its warm base can no longer be trusted), or on
-        silence past ``rpc_deadline_s`` with no heartbeat (hung — killed
-        outright, since SIGKILL works where a reply never will).  Either
-        way its job is requeued *resubmitted* and a replacement is forked
-        immediately, budget permitting; once the ``max_respawns_per_batch``
-        breaker opens and no worker remains, the remaining queue degrades to
-        in-process execution instead of failing the ticket.  A shard
-        *execution* error (worker state intact) is raised to the caller
-        after in-flight jobs drain.
-
-        Returns ``(outcomes, resubmitted shard ids, respawns, degraded)``.
-        """
-        planner = self._planner_for(tenant)
-        outcomes: List[ShardOutcome] = []
-        # Queue entries are (job, resubmitted): the flag survives requeues so
-        # the final outcome can be attributed to supervision in provenance.
-        queue: "deque[Tuple[ShardJob, bool]]" = deque()
-        chain_blocked: List[Tuple[ShardJob, bool]] = []
-        for job in jobs:
-            if chain is not None and job.predecessors and not chain.ready(job):
-                chain_blocked.append((job, False))
-            else:
-                queue.append((job, False))
-        inflight: Dict[_PoolWorker, Tuple[ShardJob, bool]] = {}
-        error: Optional[str] = None
-        resubmitted: Set[int] = set()
-        respawns = 0
-        degraded = False
-        # Hedging state: shards with a recorded outcome (duplicates discard
-        # against this), workers whose in-flight dispatch is the speculative
-        # copy, and per-dispatch wall-clock starts for the hedge budget.
-        completed: Set[int] = set()
-        hedge_workers: Set[_PoolWorker] = set()
-        dispatched_at: Dict[_PoolWorker, float] = {}
-
-        def release_chain_ready() -> None:
-            """Move sub-shards whose hand-off just completed to the queue."""
-            if chain is None or not chain_blocked:
-                return
-            still: List[Tuple[ShardJob, bool]] = []
-            for entry in chain_blocked:
-                if chain.ready(entry[0]):
-                    queue.append(entry)
-                else:
-                    still.append(entry)
-            chain_blocked[:] = still
-
-        def lost(entry: Tuple[ShardJob, bool]) -> None:
-            """Requeue a dead worker's job and try to restore capacity.
-
-            With hedging, the shard may already be served (completed) or
-            still covered by its surviving duplicate dispatch — requeuing
-            would double-serve it, so only truly orphaned shards requeue."""
-            nonlocal respawns
-            shard_id = entry[0].shard_id
-            covered = shard_id in completed or any(
-                peer_entry[0].shard_id == shard_id for peer_entry in inflight.values()
-            )
-            if not covered:
-                queue.append((entry[0], True))
-                self.resubmitted_shards_total += 1
-            if self._mid_batch_respawn(respawns) is not None:
-                respawns += 1
-
-        def retire_losers(shard_id: int) -> None:
-            """Move every other in-flight dispatch of a won shard to lame."""
-            for peer in [
-                peer
-                for peer, peer_entry in inflight.items()
-                if peer_entry[0].shard_id == shard_id
-            ]:
-                del inflight[peer]
-                dispatched_at.pop(peer, None)
-                if peer in hedge_workers:
-                    # The original finished first: the speculative copy
-                    # bought nothing.
-                    hedge_workers.discard(peer)
-                    self.hedges_wasted += 1
-                self._retire_to_lame(peer)
-
-        while ((queue or chain_blocked) and error is None) or inflight:
-            self._poll_lame()
-            if error is None:
-                for worker in self._alive_workers():
-                    if not queue:
-                        break
-                    if worker in inflight or worker in self._lame:
-                        continue
-                    entry = queue.popleft()
-                    if chain is not None:
-                        entry[0].adopt = chain.payload(entry[0])
-                    if self._dispatch(worker, [entry[0]]):
-                        worker.touch()
-                        inflight[worker] = entry
-                        dispatched_at[worker] = time.monotonic()
-                    else:
-                        queue.appendleft(entry)
-                if self.hedge_after_s is not None and not queue and inflight:
-                    self._hedge_stragglers(inflight, dispatched_at, hedge_workers)
-                if (queue or chain_blocked) and not inflight and not self._alive_workers():
-                    replacement = self._mid_batch_respawn(respawns)
-                    if replacement is not None:
-                        respawns += 1
-                        continue
-                    # The whole pool is gone and the breaker is open (or
-                    # respawns are disabled): degrade — serve the remainder
-                    # in-process rather than fail the ticket.  Shard-id order
-                    # is a topological order of the hand-off chain, so every
-                    # payload is available when its consumer executes.
-                    degraded = True
-                    remaining = sorted(
-                        list(queue) + chain_blocked, key=lambda item: item[0].shard_id
-                    )
-                    queue.clear()
-                    chain_blocked.clear()
-                    for job, was_resubmitted in remaining:
-                        if chain is not None:
-                            job.adopt = chain.payload(job)
-                        outcome = execute_shard_job(planner, job)
-                        outcomes.append(outcome)
-                        if chain is not None:
-                            chain.record(outcome)
-                        if was_resubmitted:
-                            resubmitted.add(job.shard_id)
-                    break
-                if not queue and not inflight and chain_blocked:
-                    # Defensive: re-release, and fail loudly over spinning
-                    # (unreachable while predecessors precede consumers).
-                    release_chain_ready()
-                    if not queue:  # pragma: no cover - scheduler guard
-                        raise ServingError(
-                            "batch dispatch deadlocked on the sub-shard chain"
-                        )
-            if not inflight:
-                if self._lame:
-                    # Nothing in flight but a crawler still owes a reply:
-                    # yield briefly instead of hot-spinning on _poll_lame.
-                    time.sleep(0.005)
-                continue
-            wait_ready = mp_wait([worker.conn for worker in inflight], timeout=0.05)
-            now = time.monotonic()
-            for worker in list(inflight):
-                if worker not in inflight:
-                    continue  # retired to lame by an earlier win this sweep
-                if worker.conn in wait_ready:
-                    try:
-                        reply = worker.conn.recv()
-                    except (EOFError, OSError):
-                        reply = None
-                    if reply is not None and reply[0] == "beat":
-                        worker.touch()
-                        continue
-                    entry = inflight.pop(worker)
-                    dispatched_at.pop(worker, None)
-                    if reply is None:
-                        worker.mark_dead()
-                        hedge_workers.discard(worker)
-                        lost(entry)
-                    elif reply[0] == "done":
-                        worker.touch()
-                        shard_id = entry[0].shard_id
-                        if shard_id in completed:
-                            # Stale duplicate of an already-served shard:
-                            # bit-identical by the content-keyed crowd RNG,
-                            # so discarding it is a pure no-op.
-                            hedge_workers.discard(worker)
-                            continue
-                        completed.add(shard_id)
-                        if worker in hedge_workers:
-                            hedge_workers.discard(worker)
-                            self.hedges_won += 1
-                        retire_losers(shard_id)
-                        outcomes.extend(reply[2])
-                        if chain is not None:
-                            for outcome in reply[2]:
-                                chain.record(outcome)
-                            release_chain_ready()
-                        if entry[1]:
-                            resubmitted.add(shard_id)
-                    elif reply[0] == "desync":
-                        # The worker's warm base is no longer trustworthy.
-                        worker.mark_dead()
-                        hedge_workers.discard(worker)
-                        lost(entry)
-                    elif reply[0] == "error":
-                        error = error or str(reply[2])
-                    else:  # pragma: no cover - protocol guard
-                        error = error or f"unexpected pool reply {reply[0]!r}"
-                elif not worker.process.is_alive():
-                    worker.mark_dead()
-                    hedge_workers.discard(worker)
-                    dispatched_at.pop(worker, None)
-                    lost(inflight.pop(worker))
-                elif now - worker.last_heard > self.rpc_deadline_s:
-                    # Alive but silent past the deadline — no reply and no
-                    # heartbeat — so it is hung, not slow.
-                    self._kill_worker(worker)
-                    self.hung_workers_killed += 1
-                    hedge_workers.discard(worker)
-                    dispatched_at.pop(worker, None)
-                    lost(inflight.pop(worker))
-        if error is not None:
-            raise ServingError(f"shard execution failed in a pool worker:\n{error}")
-        return outcomes, resubmitted, respawns, degraded
 
     def _push_sync(self, tenant: str = DEFAULT_TENANT) -> None:
         """Stream one tenant's merged truth deltas to workers that are

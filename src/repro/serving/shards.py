@@ -4,9 +4,8 @@ A *shard job* is the unit of work the serving layer hands to a worker — a
 slice of a batch (whole interaction-closed components, see
 :meth:`~repro.core.planner.CrowdPlanner.shard_plan`) plus the destination
 cells whose truth slice the shard may observe.  The primitives here are used
-identically by the persistent pool workers (:mod:`repro.serving.service`),
-the per-batch forked pool behind the deprecated engine shim, and the inline
-fallback:
+identically by the pool workers and by the dispatcher's in-process tail
+(:mod:`repro.serving.service`):
 
 * :func:`build_shard_clone` — a planner over a copy-on-write
   :meth:`~repro.core.truth.TruthDatabase.view_by_cells` slice of the base
@@ -526,31 +525,3 @@ class ChainState:
             payload = self._encoder(truths)
         self._payloads[key] = payload
         return payload
-
-
-def execute_jobs_inline(
-    planner: CrowdPlanner,
-    jobs: Sequence[ShardJob],
-    chain: Optional[ChainState] = None,
-) -> List[ShardOutcome]:
-    """Execute jobs in-process in shard-id order, driving the hand-off chain.
-
-    Shard ids are a topological order of the chain DAG (``split_oversized``
-    renumbers them that way), so ascending execution satisfies every
-    predecessor before its consumers — this is the fork-less fallback and
-    the degraded tail of the pooled dispatchers, and it reproduces the
-    sequential prefix exactly.
-    """
-    outcomes: List[ShardOutcome] = []
-    for job in sorted(jobs, key=lambda item: item.shard_id):
-        if chain is not None:
-            if not chain.ready(job):  # pragma: no cover - topo-order guard
-                raise ServingError(
-                    f"sub-shard {job.shard_id} is not executable in shard-id order"
-                )
-            job.adopt = chain.payload(job)
-        outcome = execute_shard_job(planner, job)
-        outcomes.append(outcome)
-        if chain is not None:
-            chain.record(outcome)
-    return outcomes

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.config import PlannerConfig, ServiceConfig
 from repro.exceptions import ServingError, WorkspaceManifestError
-from repro.serving import WorkspaceService, recommendation_fingerprint
+from repro.serving import PooledBackend, WorkspaceService, recommendation_fingerprint
 
 from .faults import FaultInjectingBackend
 
@@ -252,6 +252,56 @@ class TestTenantIsolationContract:
                 svc.create_workspace(name)
             fingerprints = _run_interleaved(svc, tenant_batches, order=order)
             _assert_matches_oracles(svc, fingerprints, tenant_oracles)
+
+
+@needs_fork
+class TestTenantSyncCadence:
+    def test_each_alternating_tenant_gets_its_cadence_sync(
+        self, build_serving_planner, serving_workload
+    ):
+        """``merge_every_batches`` bounds every tenant's worker staleness.
+
+        Two workspaces alternate batches on one pool with a cadence of 2.
+        The cadence counts each tenant's own batches, so after every second
+        batch of a tenant its workers hold its whole truth store — whatever
+        the other tenant ran in between.
+        """
+        template = build_serving_planner()
+        config = _tenant_config(
+            template, backend="pooled", pool_size=2, merge_every_batches=2
+        )
+        workload = list(serving_workload[:48])
+        batches = {
+            name: [workload[index::2][start:start + 3] for start in range(0, 24, 3)]
+            for index, name in enumerate(("a", "b"))
+        }
+        pool = PooledBackend.from_config(config)
+        synced = []
+        push_sync = pool._push_sync
+
+        def spy(tenant):
+            synced.append(tenant)
+            push_sync(tenant)
+
+        pool._push_sync = spy
+        with WorkspaceService(template, config=config, pool=pool) as svc:
+            for name in batches:
+                svc.create_workspace(name)
+            for index in range(8):
+                for name in batches:
+                    workspace = svc.workspace(name)
+                    workspace.recommend_batch(batches[name][index])
+                    if index % 2 == 1:
+                        cursor = workspace.planner.truth_cursor()
+                        behind = [
+                            worker.cursors.get(name)
+                            for worker in pool._workers
+                            if worker.alive and worker.cursors.get(name) != cursor
+                        ]
+                        assert not behind, (
+                            f"tenant {name} workers at {behind}, store at {cursor}"
+                        )
+        assert synced.count("a") == synced.count("b") == 4
 
 
 class TestWorkspaceRecovery:
