@@ -53,7 +53,6 @@ from repro.core.truth import TruthDatabase
 from repro.serving.service import PooledBackend
 from repro.serving import (
     RecommendationService,
-    ShardedRecommendationEngine,
     TruthJournal,
     WorkspaceService,
     encode_truth_delta,
@@ -409,9 +408,9 @@ def serving_city():
 def shard_setup(serving_city):
     """A clustered large-batch workload plus the sequential oracle.
 
-    The sequential oracle runs once here; before any timing, the sharded
-    engine is asserted bit-identical to it for worker counts {1, 2, 4} — the
-    acceptance gate of the serving subsystem.
+    The sequential oracle runs once here; before any timing, one-batch
+    pooled serving is asserted bit-identical to it for worker counts
+    {1, 2, 4} — the acceptance gate of the serving subsystem.
     """
     scenario, build_planner = serving_city
     workload = generate_large_batch_workload(
@@ -426,15 +425,20 @@ def shard_setup(serving_city):
     ]
     # Equivalence before timing: workers {1, 2, 4} must match the oracle.
     for workers in (1, 2, 4):
-        engine = ShardedRecommendationEngine(build_planner(), workers=workers)
-        sharded = [recommendation_fingerprint(r) for r in engine.recommend_batch(workload)]
+        sharded = [recommendation_fingerprint(r) for r in _run_sharded(build_planner, workload, workers)]
         assert sharded == oracle, f"sharded serving diverged from sequential at workers={workers}"
     return build_planner, workload, oracle
 
 
+def _serve_one_batch(planner, batch, workers):
+    """A fresh pooled service for one batch: fork, serve, stop."""
+    config = ServiceConfig.from_planner_config(planner.config, backend="pooled", pool_size=workers)
+    with RecommendationService(planner, config) as service:
+        return [response.result for response in service.recommend_batch(batch)]
+
+
 def _run_sharded(build_planner, workload, workers):
-    engine = ShardedRecommendationEngine(build_planner(), workers=workers)
-    return engine.recommend_batch(workload)
+    return _serve_one_batch(build_planner(), workload, workers)
 
 
 @pytest.mark.benchmark(group="crowd_shard")
@@ -468,9 +472,9 @@ def stream_setup(serving_city):
     """A steady batch stream plus the sequential oracle's fingerprints.
 
     Before any timing, both contenders are asserted bit-identical to the
-    sequential oracle over the whole stream: the persistent-pool service
-    (fork once, stream truth deltas) and the per-batch shim (fork every
-    batch) — the amortisation this suite exists to measure.
+    sequential oracle over the whole stream: the long-lived pooled service
+    (fork once, stream truth deltas) and a fresh pooled service per batch
+    (fork every batch) — the amortisation this suite exists to measure.
     """
     scenario, build_planner = serving_city
     batches = generate_stream_workload(
@@ -507,11 +511,11 @@ def _run_stream_persistent(build_planner, batches):
 
 
 def _run_stream_per_batch(build_planner, batches):
-    """The deprecated shim: a fresh fork + truth clone for every batch."""
-    engine = ShardedRecommendationEngine(build_planner(), workers=2)
+    """The baseline: a fresh pooled service (fork, serve, stop) per batch."""
+    planner = build_planner()
     results = []
     for batch in batches:
-        results.extend(engine.recommend_batch(batch))
+        results.extend(_serve_one_batch(planner, batch, 2))
     return results
 
 
@@ -1036,7 +1040,7 @@ def truth_wire_setup(serving_city, shard_setup):
     def run_service(backend_name, pool_size=None):
         planner = build_planner()
         config = ServiceConfig.from_planner_config(
-            planner.config, backend=backend_name, pool_size=pool_size, truth_wire="columnar"
+            planner.config, backend=backend_name, pool_size=pool_size
         )
         with RecommendationService(planner, config) as service:
             return [

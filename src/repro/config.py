@@ -143,10 +143,6 @@ DEFAULT_CONFIG = PlannerConfig()
 #: Names accepted by :attr:`ServiceConfig.backend`.
 SERVING_BACKENDS = ("inline", "pooled")
 
-#: Codecs accepted by :attr:`ServiceConfig.truth_wire` — how the pooled
-#: backend ships parent→worker truth deltas.
-TRUTH_WIRE_FORMATS = ("columnar", "pickle")
-
 #: Policies accepted by :attr:`ServiceConfig.journal_on_error` — what the
 #: service does when the journal hits a disk error (ENOSPC, EIO, ...).
 JOURNAL_ON_ERROR_MODES = ("raise", "suspend")
@@ -168,7 +164,7 @@ class ServiceConfig(PlannerConfig):
     backend:
         Which :class:`~repro.serving.protocol.ServingBackend` serves batches:
         ``"inline"`` (the sequential oracle, in-process) or ``"pooled"``
-        (the persistent forked worker pool).
+        (the long-lived forked worker pool).
     pool_size:
         Worker-process count of the pooled backend; ``None`` means one per
         available CPU.
@@ -195,13 +191,6 @@ class ServiceConfig(PlannerConfig):
         always receive the deltas they are missing with their shard
         dispatch, so this only bounds how stale an *idle* worker's warm
         partition may grow — it never affects results.
-    truth_wire:
-        Codec for parent→worker truth-delta streaming: ``"columnar"`` (the
-        default — deltas travel as a
-        :class:`~repro.serving.protocol.TruthDeltaBlock` of node-index
-        arrays, several times smaller on the wire) or ``"pickle"`` (the
-        pickled-object fallback).  A pure transport choice — decoded deltas
-        are exactly the pickled objects, so results never depend on it.
     respawn_workers:
         When ``True`` (the default) the pooled backend replaces dead pool
         workers in place — immediately when the supervisor declares one
@@ -283,9 +272,6 @@ class ServiceConfig(PlannerConfig):
         :meth:`~repro.serving.RecommendationService.stream` also keeps up to
         ``pipeline_window`` submitted batches outstanding before redeeming,
         so a stream actually engages the window scheduler.
-    share_candidate_generation:
-        Default for the batch-level candidate-generation memo (see
-        :meth:`CrowdPlanner.recommend_batch`); never changes answers.
     """
 
     backend: str = "pooled"
@@ -294,7 +280,6 @@ class ServiceConfig(PlannerConfig):
     use_processes: bool = True
     max_pending_batches: int = 16
     merge_every_batches: int = 1
-    truth_wire: str = "columnar"
     respawn_workers: bool = True
     journal_path: Optional[str] = None
     journal_fsync: bool = True
@@ -308,7 +293,6 @@ class ServiceConfig(PlannerConfig):
     respawn_backoff_max_s: float = 1.0
     pipeline_window: int = 1
     stream_batch_size: int = 32
-    share_candidate_generation: bool = True
 
     def validate(self) -> None:
         super().validate()
@@ -352,10 +336,6 @@ class ServiceConfig(PlannerConfig):
             raise ConfigurationError("max_pending_batches must be at least 1")
         if self.merge_every_batches < 1:
             raise ConfigurationError("merge_every_batches must be at least 1")
-        if self.truth_wire not in TRUTH_WIRE_FORMATS:
-            raise ConfigurationError(
-                f"truth_wire must be one of {TRUTH_WIRE_FORMATS}, got {self.truth_wire!r}"
-            )
         if self.pipeline_window < 1:
             raise ConfigurationError("pipeline_window must be at least 1")
         if self.stream_batch_size < 1:

@@ -16,9 +16,10 @@ directory::
 Every executed batch appends exactly one **record** — even when its delta is
 empty — so the record count doubles as a durable "batches executed" counter
 for crash recovery.  A record's payload is the batch's truth delta in the
-configured wire codec: the PR 5 columnar
-:class:`~repro.serving.protocol.TruthDeltaBlock` (``wire="columnar"``) or the
-pickled object list (``wire="pickle"``).  Replay is codec-agnostic — payloads
+journal's wire codec: the columnar
+:class:`~repro.serving.protocol.TruthDeltaBlock` (``wire="columnar"``, the
+default) or the pickled object list (``wire="pickle"``, which earlier
+versions of the service could write).  Replay is codec-agnostic — payloads
 are decoded by duck-typing exactly like
 :meth:`TruthDatabase.adopt_all <repro.core.truth.TruthDatabase.adopt_all>` —
 so a journal written under one codec reads back under the other.
@@ -53,7 +54,6 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..config import TRUTH_WIRE_FORMATS
 from ..core.truth import TruthDatabase, VerifiedTruth
 from ..exceptions import JournalError
 from ..roadnet.graph import RoadNetwork
@@ -71,6 +71,9 @@ _FRAME = struct.Struct("<III")
 
 _JOURNAL_NAME = re.compile(r"journal-(\d{8})\.log$")
 _SNAPSHOT_NAME = re.compile(r"snapshot-(\d{8})\.snap$")
+
+#: Codecs accepted by ``TruthJournal(wire=...)`` for newly appended records.
+WIRE_FORMATS = ("columnar", "pickle")
 
 
 def _decode_payload(payload, network: RoadNetwork) -> List[VerifiedTruth]:
@@ -111,8 +114,8 @@ class TruthJournal:
         fsync: bool = True,
         snapshot_every_truths: int = 512,
     ):
-        if wire not in TRUTH_WIRE_FORMATS:
-            raise JournalError(f"wire must be one of {TRUTH_WIRE_FORMATS}, got {wire!r}")
+        if wire not in WIRE_FORMATS:
+            raise JournalError(f"wire must be one of {WIRE_FORMATS}, got {wire!r}")
         if snapshot_every_truths < 1:
             raise JournalError("snapshot_every_truths must be at least 1")
         self.path = Path(path)

@@ -14,9 +14,9 @@ vocabulary regardless of how batches are executed:
 * :class:`ServingBackend` is the pluggable execution strategy — the service
   owns ordering, envelopes and lifecycle, a backend owns *how* one batch of
   queries becomes ordered results (and parent planner state);
-* :class:`WindowBatch` + :meth:`ServingBackend.execute_window` are the
-  cross-batch pipelining surface: the service hands the backend a rolling
-  window of consecutive pending batches, the backend returns the merged
+* :meth:`ServingBackend.execute_window` is the cross-batch pipelining
+  surface: the service hands the backend a rolling window of consecutive
+  pending batches (one query list each), the backend returns the merged
   prefix of their executions (merges strictly in submission order, each
   stamped with its ``truth_span`` for per-batch journaling).  The default
   implementation is a per-batch barrier.  The pooled backend has one
@@ -108,7 +108,7 @@ class ResultProvenance:
     the request (``shard_id`` is ``None`` for the inline backend, which does
     not shard; ``worker_pid`` is the serving process — the parent's own pid
     when no pool worker was involved).  ``warm_pool`` records whether the
-    batch ran on an already-forked pool (the amortisation the persistent
+    batch ran on an already-forked pool (the amortisation the pooled
     backend exists for), and ``truth_reused`` whether the answer came
     straight from the verified-truth store.
 
@@ -192,20 +192,6 @@ class BatchExecution:
     truth_span: Optional[Tuple[int, int]] = None
 
 
-@dataclass
-class WindowBatch:
-    """One submitted batch inside a pipeline window, backend-ready.
-
-    The service hands the backend a *window* — up to
-    ``ServiceConfig.pipeline_window`` consecutive pending batches — as a list
-    of these; the backend executes them with submission-order merge semantics
-    (see :meth:`ServingBackend.execute_window`).
-    """
-
-    queries: List[RouteQuery]
-    share_candidate_generation: bool = True
-
-
 class ServingBackend(abc.ABC):
     """Execution strategy of the recommendation service.
 
@@ -228,15 +214,15 @@ class ServingBackend(abc.ABC):
 
     @abc.abstractmethod
     def execute_batch(
-        self,
-        queries: Sequence[RouteQuery],
-        share_candidate_generation: bool = True,
-        plan: Optional[ShardPlan] = None,
+        self, queries: Sequence[RouteQuery], plan: Optional[ShardPlan] = None
     ) -> BatchExecution:
         """Answer one batch in submission order and update the parent planner."""
 
-    def execute_window(self, batches: Sequence[WindowBatch]) -> List[BatchExecution]:
+    def execute_window(self, batches: Sequence[Sequence[RouteQuery]]) -> List[BatchExecution]:
         """Execute a window of consecutive batches; return the merged prefix.
+
+        ``batches`` holds one query list per batch — up to
+        ``ServiceConfig.pipeline_window`` consecutive pending batches.
 
         The default is a barrier (:meth:`_execute_barrier`): each batch runs
         through :meth:`execute_batch` in submission order, one at a time —
@@ -260,7 +246,7 @@ class ServingBackend(abc.ABC):
 
     def _execute_barrier(
         self,
-        batches: Sequence[WindowBatch],
+        batches: Sequence[Sequence[RouteQuery]],
         planner: Optional[CrowdPlanner],
         **batch_kwargs,
     ) -> List[BatchExecution]:
@@ -270,14 +256,10 @@ class ServingBackend(abc.ABC):
         keeping the window contract's prefix semantics."""
         cursor = planner.truth_cursor if planner is not None else (lambda: 0)
         executions: List[BatchExecution] = []
-        for batch in batches:
+        for queries in batches:
             before = cursor()
             try:
-                execution = self.execute_batch(
-                    batch.queries,
-                    share_candidate_generation=batch.share_candidate_generation,
-                    **batch_kwargs,
-                )
+                execution = self.execute_batch(queries, **batch_kwargs)
             except Exception:
                 if executions:
                     break

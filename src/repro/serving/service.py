@@ -14,11 +14,11 @@ that answers a *stream* of query batches instead of one-shot calls.
 * execution is delegated to a pluggable
   :class:`~repro.serving.protocol.ServingBackend`:
   :class:`InlineBackend` is the sequential oracle itself, and
-  :class:`PooledBackend` a **persistent** forked worker pool — workers are
+  :class:`PooledBackend` a long-lived forked worker pool — workers are
   forked once, keep warm :class:`~repro.core.truth.TruthDatabase` state
   between batches, and receive only the truth deltas the parent merged
-  since their last shard, amortising the per-batch fork + clone cost of the
-  old engine;
+  since their last shard, so a steady stream pays no per-batch fork or
+  store clone;
 * with ``config.pipeline_window > 1`` consecutive pending batches execute
   as one *window*: the pooled backend's DAG dispatcher
   (:meth:`PooledBackend.execute_window`, dependencies from
@@ -55,7 +55,7 @@ from collections import OrderedDict, deque
 from multiprocessing.connection import wait as mp_wait
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from ..config import TRUTH_WIRE_FORMATS, ServiceConfig
+from ..config import ServiceConfig
 from ..core.planner import CrowdPlanner, ShardPlan
 from ..exceptions import JournalError, OverloadError, ServingError
 from ..routing.base import RouteQuery
@@ -69,7 +69,6 @@ from .protocol import (
     ResultProvenance,
     ServingBackend,
     Ticket,
-    WindowBatch,
     encode_truth_delta,
     wrap_requests,
 )
@@ -103,19 +102,14 @@ class InlineBackend(ServingBackend):
     name = "inline"
 
     def execute_batch(
-        self,
-        queries: Sequence[RouteQuery],
-        share_candidate_generation: bool = True,
-        plan: Optional[ShardPlan] = None,
+        self, queries: Sequence[RouteQuery], plan: Optional[ShardPlan] = None
     ) -> BatchExecution:
         if self.planner is None:
             raise ServingError("backend is not bound to a planner")
         if plan is not None:
             raise ServingError("the inline backend does not accept shard plans")
         started = time.perf_counter()
-        results = self.planner.recommend_batch(
-            list(queries), share_candidate_generation=share_candidate_generation
-        )
+        results = self.planner.recommend_batch(list(queries))
         elapsed = time.perf_counter() - started
         pid = os.getpid()
         return BatchExecution(
@@ -138,11 +132,10 @@ def _pool_worker_main(
     The worker's ``planner`` is its fork-inherited copy of the parent's —
     the *base* whose truth store is kept warm across batches: ``run`` and
     ``sync`` messages carry the truths the parent merged since this worker
-    last heard from it — as a columnar
-    :class:`~repro.serving.protocol.TruthDeltaBlock` or a pickled object
-    list, whichever codec the backend is configured with;
-    :meth:`TruthDatabase.adopt_all` accepts both and preserves parent ids,
-    keeping lookup tie-breaks identical — and each shard then executes on a
+    last heard from it as a columnar
+    :class:`~repro.serving.protocol.TruthDeltaBlock`, which
+    :meth:`TruthDatabase.adopt_all` decodes preserving parent ids, keeping
+    lookup tie-breaks identical — and each shard then executes on a
     fresh clone over a copy-on-write slice of the warm base.  Strict
     request/reply: every *substantive* message gets exactly one response.
 
@@ -310,7 +303,7 @@ def _shard_key(entry: _Entry) -> Tuple[int, int]:
 
 
 class PooledBackend(ServingBackend):
-    """Persistent forked worker pool with warm truth partitions.
+    """Long-lived forked worker pool with warm truth partitions.
 
     Workers are forked once (on the first batch) and inherit the full
     planner substrate — including state that cannot be pickled — through
@@ -320,20 +313,17 @@ class PooledBackend(ServingBackend):
 
     One dispatcher serves every batch: :meth:`execute_window` walks a
     window's shard DAG on the pool, and :meth:`execute_batch` runs a lone
-    batch through the same walker as a window of one.  ``persistent=False``
-    degrades to the old per-batch behaviour (fork, serve one batch, stop) —
-    kept as the baseline the ``crowd_stream`` benchmark and the deprecated
-    engine shim measure against.  When ``use_processes`` is false or the
-    platform offers no ``fork`` start method, the dispatcher has no workers
-    and runs every shard through its in-process tail, the same
-    clone-and-merge machinery, keeping results identical everywhere.
+    batch through the same walker as a window of one.  The pool lives until
+    :meth:`close`.  When ``use_processes`` is false or the platform offers
+    no ``fork`` start method, the dispatcher has no workers and runs every
+    shard through its in-process tail, the same clone-and-merge machinery,
+    keeping results identical everywhere.
 
-    Truth deltas stream to workers in the codec named by ``truth_wire``:
-    ``"columnar"`` (default) encodes each delta as a
+    Truth deltas stream to workers as a columnar
     :class:`~repro.serving.protocol.TruthDeltaBlock` — node-index arrays,
-    several times smaller on the wire than the ``"pickle"`` object fallback
-    — and the worker's :meth:`TruthDatabase.adopt_all` decodes it against
-    its fork-inherited network, so adopted truths are identical either way.
+    several times smaller on the wire than the pickled objects — and the
+    worker's :meth:`TruthDatabase.adopt_all` decodes it against its
+    fork-inherited network, so adopted truths are exactly the parent's.
 
     A worker failure never fails a batch.  The supervisor watches every
     in-flight worker: a crash is seen as pipe EOF, and a *hung* worker — one
@@ -358,9 +348,7 @@ class PooledBackend(ServingBackend):
         self,
         pool_size: Optional[int] = None,
         use_processes: bool = True,
-        persistent: bool = True,
         merge_every_batches: int = 1,
-        truth_wire: str = "columnar",
         respawn_workers: bool = True,
         heartbeat_interval_s: float = 0.5,
         rpc_deadline_s: float = 8.0,
@@ -377,10 +365,6 @@ class PooledBackend(ServingBackend):
             raise ServingError("max_shard_fraction must be in (0, 1]")
         if merge_every_batches < 1:
             raise ServingError("merge_every_batches must be at least 1")
-        if truth_wire not in TRUTH_WIRE_FORMATS:
-            raise ServingError(
-                f"truth_wire must be one of {TRUTH_WIRE_FORMATS}, got {truth_wire!r}"
-            )
         if heartbeat_interval_s <= 0:
             raise ServingError("heartbeat_interval_s must be positive")
         if rpc_deadline_s <= heartbeat_interval_s:
@@ -395,9 +379,7 @@ class PooledBackend(ServingBackend):
             raise ServingError("hedge_after_s must be positive (or None to disable)")
         self.pool_size = pool_size
         self.use_processes = use_processes
-        self.persistent = persistent
         self.merge_every_batches = merge_every_batches
-        self.truth_wire = truth_wire
         self.respawn_workers = respawn_workers
         self.heartbeat_interval_s = heartbeat_interval_s
         self.rpc_deadline_s = rpc_deadline_s
@@ -466,7 +448,6 @@ class PooledBackend(ServingBackend):
             pool_size=config.pool_size,
             use_processes=config.use_processes,
             merge_every_batches=config.merge_every_batches,
-            truth_wire=config.truth_wire,
             respawn_workers=config.respawn_workers,
             heartbeat_interval_s=config.heartbeat_interval_s,
             rpc_deadline_s=config.rpc_deadline_s,
@@ -640,7 +621,19 @@ class PooledBackend(ServingBackend):
     ) -> ShardPlan:
         """Shard-plan one batch (unless ``plan`` is given), apply the
         configured ``max_shard_fraction`` split (idempotent) and record the
-        batch's skew diagnostics (see ``sharding_stats``)."""
+        batch's skew diagnostics (see ``sharding_stats``).
+
+        An explicit ``plan`` must partition the batch — every query index in
+        exactly one shard — and is rejected before any warm-up or dispatch,
+        so a malformed plan leaves the parent planner untouched.
+        """
+        if plan is not None:
+            covered = sorted(index for shard in plan.shards for index in shard.indices)
+            if plan.num_queries != len(queries) or covered != list(range(len(queries))):
+                raise ServingError(
+                    "the shard plan does not partition the batch: every query "
+                    "index must appear in exactly one shard"
+                )
         raw = plan if plan is not None else planner.shard_plan(queries, self.resolved_pool_size())
         split = raw
         if self.max_shard_fraction is not None:
@@ -656,17 +649,16 @@ class PooledBackend(ServingBackend):
     def execute_batch(
         self,
         queries: Sequence[RouteQuery],
-        share_candidate_generation: bool = True,
         plan: Optional[ShardPlan] = None,
         tenant: str = DEFAULT_TENANT,
     ) -> BatchExecution:
         """Serve one batch as a window of one through the window dispatcher.
 
-        An explicit ``plan`` is honoured (then hotspot-split).  A lone batch
-        has no cross-batch structure: every shard's dependency is ``-1``, and
-        no window is counted in ``pipeline_stats``.  Its ``execute_s`` spans
-        pool start-up too, so the admission controller's plan + execute +
-        merge estimate includes the fork a cold batch pays.
+        An explicit ``plan`` is validated and honoured (then hotspot-split).
+        A lone batch has no cross-batch structure: every shard's dependency
+        is ``-1``, and no window is counted in ``pipeline_stats``.  Its
+        ``execute_s`` spans pool start-up too, so the admission controller's
+        plan + execute + merge estimate includes the fork a cold batch pays.
         """
         if self.planner is None:
             raise ServingError("backend is not bound to a planner")
@@ -679,7 +671,7 @@ class PooledBackend(ServingBackend):
         plan_s = time.perf_counter() - started
         (execution,), elapsed = self._execute_planned(
             planner,
-            [WindowBatch(queries, share_candidate_generation)],
+            [queries],
             [plan],
             [plan_s],
             [[-1] * len(plan.shards)],
@@ -689,7 +681,7 @@ class PooledBackend(ServingBackend):
         return execution
 
     def execute_window(
-        self, batches: Sequence[WindowBatch], tenant: str = DEFAULT_TENANT
+        self, batches: Sequence[Sequence[RouteQuery]], tenant: str = DEFAULT_TENANT
     ) -> List[BatchExecution]:
         """Overlap a window of consecutive batches on the pool (DAG dispatch).
 
@@ -705,9 +697,7 @@ class PooledBackend(ServingBackend):
         lone batch is simply a window of one.
 
         Degenerate windows run as a barrier, one :meth:`execute_batch` per
-        batch: a single-batch window, a non-persistent pool (the per-batch
-        baseline has nothing to keep warm across batches), and platforms
-        without ``fork``.
+        batch: a single-batch window, and platforms without ``fork``.
 
         Two supervision readings are per *window*: ``max_respawns_per_batch``
         is the window's respawn budget, and the ``warm_pool``/
@@ -718,11 +708,8 @@ class PooledBackend(ServingBackend):
         if self.planner is None:
             raise ServingError("backend is not bound to a planner")
         planner = self._planner_for(tenant)
-        window = [
-            WindowBatch(list(batch.queries), batch.share_candidate_generation)
-            for batch in batches
-        ]
-        if len(window) <= 1 or not self.persistent or not self._can_fork():
+        window = [list(queries) for queries in batches]
+        if len(window) <= 1 or not self._can_fork():
             # The tenant kwarg is threaded only when set, so subclasses that
             # override ``execute_batch`` with the base signature keep
             # working for the default tenant.
@@ -731,9 +718,9 @@ class PooledBackend(ServingBackend):
 
         plans: List[ShardPlan] = []
         plan_times: List[float] = []
-        for batch in window:
+        for queries in window:
             started = time.perf_counter()
-            plans.append(self._plan(planner, batch.queries))
+            plans.append(self._plan(planner, queries))
             plan_times.append(time.perf_counter() - started)
         deps = batch_dependencies(plans)
         parallelism = window_parallelism(deps)
@@ -747,7 +734,7 @@ class PooledBackend(ServingBackend):
     def _execute_planned(
         self,
         planner: CrowdPlanner,
-        window: List[WindowBatch],
+        window: List[List[RouteQuery]],
         plans: List[ShardPlan],
         plan_times: List[float],
         deps: List[List[int]],
@@ -757,29 +744,28 @@ class PooledBackend(ServingBackend):
         lifecycle and sync cadence around it.
 
         Returns the merged executions and the wall-clock from pool start-up
-        to the end of dispatch (a non-persistent pool's stop included).
+        to the end of dispatch.
         """
         counters_before = self._counter_snapshot()
         syncs_before = self._tenant_counters(tenant)["batches"] // self.merge_every_batches
         # Warm shared read-only state before any fork so first-batch workers
         # inherit the compiled graph and source caches instead of rebuilding
         # them per process.
-        planner.warm_batch([query for batch in window for query in batch.queries])
+        planner.warm_batch([query for queries in window for query in queries])
         jobs_per_batch: List[List[ShardJob]] = [
             [
                 ShardJob(
                     shard_id=shard.shard_id,
                     indices=shard.indices,
                     destination_cells=shard.destination_cells,
-                    queries=[batch.queries[index] for index in shard.indices],
-                    share_candidate_generation=batch.share_candidate_generation,
+                    queries=[queries[index] for index in shard.indices],
                     predecessors=shard.predecessors,
                     handoff_from=shard.handoff_from,
                     tenant=tenant,
                 )
                 for shard in plan.shards
             ]
-            for batch, plan in zip(window, plans)
+            for queries, plan in zip(window, plans)
         ]
         forking = self._can_fork()
         # Per-batch hand-off chains: id bases are pre-computed stripes above
@@ -787,7 +773,7 @@ class PooledBackend(ServingBackend):
         # stay above everything merged while earlier batches complete.
         # Payloads cross the pipe columnar; in-process they stay objects.
         encoder = None
-        if forking and self.truth_wire == "columnar":
+        if forking:
             encoder = functools.partial(encode_truth_delta, network=self.planner.network)
         chains = [
             ChainState(jobs, handoff_id_base(batch_offset), encoder)
@@ -796,20 +782,16 @@ class PooledBackend(ServingBackend):
 
         started = time.perf_counter()
         warm = False
-        try:
-            if forking:
-                # Warm only when an existing pool served this batch — a
-                # re-fork after a whole-pool loss is a cold batch like the
-                # first one (replacing individual dead workers is not: the
-                # survivors' warm state is what the batch runs on).
-                warm = not self._ensure_pool()
-                if warm:
-                    self._poll_lame()
-                    self._respawn_dead()
-            executions = self._run_window(window, plan_times, jobs_per_batch, deps, warm, chains, tenant)
-        finally:
-            if not self.persistent:
-                self._stop_pool()
+        if forking:
+            # Warm only when an existing pool served this batch — a re-fork
+            # after a whole-pool loss is a cold batch like the first one
+            # (replacing individual dead workers is not: the survivors' warm
+            # state is what the batch runs on).
+            warm = not self._ensure_pool()
+            if warm:
+                self._poll_lame()
+                self._respawn_dead()
+        executions = self._run_window(window, plan_times, jobs_per_batch, deps, warm, chains, tenant)
         elapsed = time.perf_counter() - started
         self._attribute_counters(tenant, counters_before, batches=len(executions))
         batches = self._tenant_counters(tenant)["batches"]
@@ -824,7 +806,7 @@ class PooledBackend(ServingBackend):
 
     def _run_window(
         self,
-        window: List[WindowBatch],
+        window: List[List[RouteQuery]],
         plan_times: List[float],
         jobs_per_batch: List[List[ShardJob]],
         deps: List[List[int]],
@@ -940,18 +922,14 @@ class PooledBackend(ServingBackend):
             nonlocal merged
             while merged < num_batches and len(done[merged]) == total[merged]:
                 batch_index = merged
-                batch = window[batch_index]
+                batch_size = len(window[batch_index])
                 before = planner.truth_cursor()
                 started = time.perf_counter()
-                results = merge_shard_outcomes(
-                    planner, len(batch.queries), done[batch_index]
-                )
+                results = merge_shard_outcomes(planner, batch_size, done[batch_index])
                 merge_s = time.perf_counter() - started
                 after = planner.truth_cursor()
                 self.batches_executed += 1
-                origins: List[Tuple[Optional[int], Optional[int]]] = [
-                    (None, None)
-                ] * len(batch.queries)
+                origins: List[Tuple[Optional[int], Optional[int]]] = [(None, None)] * batch_size
                 for outcome in done[batch_index]:
                     for index in outcome.indices:
                         origins[index] = (outcome.shard_id, outcome.worker_pid)
@@ -1214,7 +1192,7 @@ class PooledBackend(ServingBackend):
         are dropped, so the pool returns to ``resolved_pool_size()`` workers
         instead of shrinking towards inline fallback.
         """
-        if not (self.persistent and self.respawn_workers):
+        if not self.respawn_workers:
             return
         survivors = [worker for worker in self._workers if worker.alive]
         missing = self.resolved_pool_size() - len(survivors)
@@ -1271,7 +1249,7 @@ class PooledBackend(ServingBackend):
         (outcomes merge only after execution), so it is exactly as synced as
         the workers the batch was dispatched to.
         """
-        if not (self.persistent and self.respawn_workers and self._can_fork()):
+        if not (self.respawn_workers and self._can_fork()):
             return None
         if respawns_so_far >= self.max_respawns_per_batch:
             return None
@@ -1446,22 +1424,20 @@ class PooledBackend(ServingBackend):
                 return None
 
     def _wire_delta(self, tenant: str, cursor: int):
-        """One tenant's truths recorded since ``cursor``, in the configured
-        codec.
+        """One tenant's truths recorded since ``cursor``, wire-encoded.
 
-        Columnar deltas cross the pipe as a
+        Deltas cross the pipe as a
         :class:`~repro.serving.protocol.TruthDeltaBlock` tagged with the
         tenant; empty deltas (the steady-state case for workers dispatched
-        every batch) skip encoding entirely, and the pickle fallback ships
-        the objects unchanged.  Workers synced to the same point share one
-        encoding: after any batch every participant sits at the same
-        cursor, so the per-tenant one-entry memo (keyed by cursor + store
-        length — truths are append-only) turns N per-worker encodings of
-        the identical delta into one.
+        every batch) skip encoding entirely.  Workers synced to the same
+        point share one encoding: after any batch every participant sits at
+        the same cursor, so the per-tenant one-entry memo (keyed by cursor +
+        store length — truths are append-only) turns N per-worker encodings
+        of the identical delta into one.
         """
         planner = self._planner_for(tenant)
         delta = planner.truth_delta(cursor)
-        if not delta or self.truth_wire != "columnar":
+        if not delta:
             return delta
         key = (cursor, planner.truth_cursor())
         cached = self._wire_cache.get(tenant)
@@ -1577,7 +1553,6 @@ class RecommendationService:
         if config.journal_path is not None:
             self._journal = TruthJournal(
                 config.journal_path,
-                wire=config.truth_wire,
                 fsync=config.journal_fsync,
                 snapshot_every_truths=config.snapshot_every_truths,
             )
@@ -1590,11 +1565,9 @@ class RecommendationService:
             self._journal.batch_count + 1 if self._journal is not None else 1
         )
         # Submitted-but-unexecuted batches, in submission order.  Each entry
-        # is (requests, share, deadline_at) — deadline_at an absolute
+        # is (requests, deadline_at) — deadline_at an absolute
         # time.monotonic() budget, or None when the caller named none.
-        self._pending: (
-            "OrderedDict[int, Tuple[List[RecommendRequest], bool, Optional[float]]]"
-        ) = OrderedDict()
+        self._pending: "OrderedDict[int, Tuple[List[RecommendRequest], Optional[float]]]" = OrderedDict()
         # Executed-but-uncollected responses, keyed by ticket id.
         self._ready: Dict[int, List[RecommendResponse]] = {}
         self._collected: Set[int] = set()
@@ -1679,7 +1652,6 @@ class RecommendationService:
     def submit(
         self,
         queries: Union[QueryLike, Iterable[QueryLike]],
-        share_candidate_generation: Optional[bool] = None,
         deadline_s: Optional[float] = None,
     ) -> Ticket:
         """Enqueue one batch; returns the ticket that redeems its results.
@@ -1715,11 +1687,11 @@ class RecommendationService:
                     f"deadline {deadline_s:.3f}s unmeetable: {len(self._pending)} batches "
                     f"pending at ~{self._batch_s_ewma:.3f}s/batch (~{estimate:.3f}s to finish)"
                 )
-        requests, share = self._wrap(queries, share_candidate_generation)
+        requests = self._wrap(queries)
         ticket = Ticket(ticket_id=self._next_ticket_id, size=len(requests))
         self._next_ticket_id += 1
         deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
-        self._pending[ticket.ticket_id] = (requests, share, deadline_at)
+        self._pending[ticket.ticket_id] = (requests, deadline_at)
         return ticket
 
     def results(self, ticket: Union[Ticket, int]) -> List[RecommendResponse]:
@@ -1765,24 +1737,21 @@ class RecommendationService:
         return self.results(self.submit(query))[0]
 
     def recommend_batch(
-        self,
-        queries: Iterable[QueryLike],
-        share_candidate_generation: Optional[bool] = None,
-        plan: Optional[ShardPlan] = None,
+        self, queries: Iterable[QueryLike], plan: Optional[ShardPlan] = None
     ) -> List[RecommendResponse]:
         """Submit-and-collect one batch in a single call.
 
-        An explicit ``plan`` (diagnostics / the deprecated engine shim)
-        bypasses the ticket queue: pending batches are drained first so
-        submission order is preserved, then the batch executes under the
-        given plan.
+        An explicit ``plan`` (diagnostics, partitioning tests) bypasses the
+        ticket queue: pending batches are drained first so submission order
+        is preserved, then the batch executes under the given plan.  A plan
+        that does not partition the batch raises
+        :class:`~repro.exceptions.ServingError` before anything executes.
         """
         if plan is None:
-            return self.results(self.submit(queries, share_candidate_generation))
+            return self.results(self.submit(queries))
         self._ensure_open()
         self.drain()
-        requests, share = self._wrap(queries, share_candidate_generation)
-        return self._execute(requests, share, plan)
+        return self._execute(self._wrap(queries), plan)
 
     def stream(
         self,
@@ -1884,22 +1853,13 @@ class RecommendationService:
         return plan
 
     # -------------------------------------------------------------- internal
-    def _wrap(
-        self,
-        queries: Union[QueryLike, Iterable[QueryLike]],
-        share_candidate_generation: Optional[bool],
-    ) -> Tuple[List[RecommendRequest], bool]:
-        """Envelope queries under fresh request ids + resolve the share flag."""
+    def _wrap(self, queries: Union[QueryLike, Iterable[QueryLike]]) -> List[RecommendRequest]:
+        """Envelope queries under fresh request ids."""
         if isinstance(queries, (RouteQuery, RecommendRequest)):
             queries = [queries]
         requests = wrap_requests(queries, self._next_request_id)
         self._next_request_id += len(requests)
-        share = (
-            self.config.share_candidate_generation
-            if share_candidate_generation is None
-            else share_candidate_generation
-        )
-        return requests, share
+        return requests
 
     def _execute_next_pending(self) -> None:
         # Pop only after a successful execution: a backend failure leaves the
@@ -1908,8 +1868,8 @@ class RecommendationService:
         if self.config.pipeline_window > 1 and len(self._pending) > 1:
             self._execute_pending_window()
             return
-        ticket_id, (requests, share, deadline_at) = next(iter(self._pending.items()))
-        responses = self._execute(requests, share)
+        ticket_id, (requests, deadline_at) = next(iter(self._pending.items()))
+        responses = self._execute(requests)
         del self._pending[ticket_id]
         self._ready[ticket_id] = responses
         self._note_deadline(deadline_at)
@@ -1929,17 +1889,11 @@ class RecommendationService:
             entries.append(item)
             if len(entries) >= self.config.pipeline_window:
                 break
-        window = [
-            WindowBatch(
-                queries=[request.query for request in requests],
-                share_candidate_generation=share,
-            )
-            for _, (requests, share, _deadline) in entries
-        ]
+        window = [[request.query for request in requests] for _, (requests, _) in entries]
         executions = self.backend.execute_window(window)
         if not executions:  # pragma: no cover - window contract guard
             raise ServingError("backend returned no executions for a non-empty window")
-        for position, ((ticket_id, (requests, _share, deadline_at)), execution) in enumerate(
+        for position, ((ticket_id, (requests, deadline_at)), execution) in enumerate(
             zip(entries, executions)
         ):
             # Snapshots are deferred to the window's last journaled batch:
@@ -1958,16 +1912,11 @@ class RecommendationService:
             self._deadline_breaches += 1
 
     def _execute(
-        self,
-        requests: List[RecommendRequest],
-        share_candidate_generation: bool,
-        plan: Optional[ShardPlan] = None,
+        self, requests: List[RecommendRequest], plan: Optional[ShardPlan] = None
     ) -> List[RecommendResponse]:
         queries = [request.query for request in requests]
         truth_cursor = self.planner.truth_cursor()
-        execution = self.backend.execute_batch(
-            queries, share_candidate_generation=share_candidate_generation, plan=plan
-        )
+        execution = self.backend.execute_batch(queries, plan=plan)
         if execution.truth_span is None:
             execution.truth_span = (truth_cursor, self.planner.truth_cursor())
         return self._finalize(requests, execution)

@@ -71,7 +71,7 @@ from ..core.planner import CrowdPlanner, ShardPlan
 from ..exceptions import ServingError, WorkspaceManifestError
 from ..routing.base import RouteQuery
 from .journal import TruthJournal
-from .protocol import BatchExecution, RecommendResponse, ServingBackend, Ticket, WindowBatch
+from .protocol import BatchExecution, RecommendResponse, ServingBackend, Ticket
 from .service import (
     InlineBackend,
     PooledBackend,
@@ -143,19 +143,11 @@ class TenantBackend(ServingBackend):
 
     # -------------------------------------------------------------- execution
     def execute_batch(
-        self,
-        queries: Sequence[RouteQuery],
-        share_candidate_generation: bool = True,
-        plan: Optional[ShardPlan] = None,
+        self, queries: Sequence[RouteQuery], plan: Optional[ShardPlan] = None
     ) -> BatchExecution:
-        return self.pool.execute_batch(
-            queries,
-            share_candidate_generation=share_candidate_generation,
-            plan=plan,
-            tenant=self.tenant,
-        )
+        return self.pool.execute_batch(queries, plan=plan, tenant=self.tenant)
 
-    def execute_window(self, batches: Sequence[WindowBatch]) -> List[BatchExecution]:
+    def execute_window(self, batches: Sequence[Sequence[RouteQuery]]) -> List[BatchExecution]:
         return self.pool.execute_window(batches, tenant=self.tenant)
 
     # ------------------------------------------------------------ diagnostics
@@ -230,8 +222,8 @@ class Workspace:
         numbering means the count survives crash recovery."""
         return self.service._next_batch_id - 1
 
-    def submit(self, queries, share_candidate_generation=None, deadline_s=None) -> Ticket:
-        return self.service.submit(queries, share_candidate_generation, deadline_s)
+    def submit(self, queries, deadline_s=None) -> Ticket:
+        return self.service.submit(queries, deadline_s)
 
     def pump(self) -> bool:
         return self.service.pump()
@@ -245,8 +237,8 @@ class Workspace:
     def recommend(self, query: QueryLike) -> RecommendResponse:
         return self.service.recommend(query)
 
-    def recommend_batch(self, queries, share_candidate_generation=None, plan=None):
-        return self.service.recommend_batch(queries, share_candidate_generation, plan)
+    def recommend_batch(self, queries, plan=None):
+        return self.service.recommend_batch(queries, plan)
 
     def stream(
         self, queries: Iterable[QueryLike], batch_size: Optional[int] = None

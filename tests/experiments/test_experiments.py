@@ -6,10 +6,17 @@ paper's findings (who wins, what decreases) rather than absolute numbers.
 
 import pytest
 
-from repro.experiments import exp_pmf, exp_questions, exp_selection_efficiency, exp_significance
+from repro.experiments import (
+    exp_pmf,
+    exp_questions,
+    exp_selection_efficiency,
+    exp_significance,
+    exp_throughput,
+)
 from repro.experiments.exp_pmf import PMFExperimentConfig
 from repro.experiments.exp_questions import QuestionExperimentConfig
 from repro.experiments.exp_selection_efficiency import SelectionEfficiencyConfig
+from repro.experiments.exp_throughput import ThroughputExperimentConfig
 from repro.experiments.harness import ExperimentRunner
 from repro.experiments.synthetic_routes import make_synthetic_landmark_routes
 
@@ -77,6 +84,19 @@ class TestScenarioExperiments:
         row = result.rows[0]
         assert row["pmf_rmse"] <= row["zero_baseline_rmse"]
         assert row["heldout_cells"] > 0
+
+    def test_throughput_backends_match_sequential(self, scenario):
+        """E8 on a tiny stream: every backend, the per-batch-fork baseline
+        included, answers exactly like the sequential oracle."""
+        result = exp_throughput.run(
+            scenario,
+            ThroughputExperimentConfig(
+                pool_sizes=(2,), num_batches=2, batch_size=12, use_processes=False
+            ),
+        )
+        backends = [row["backend"] for row in result.rows]
+        assert "per_batch" in backends
+        assert result.summary["all_runs_identical_to_sequential"] is True
 
 
 class TestHarness:

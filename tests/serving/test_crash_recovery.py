@@ -319,7 +319,6 @@ class TestChaosMatrix:
         backend = FaultInjectingBackend(
             schedule={1: "kill_after", 4: "hang"},
             pool_size=2,
-            truth_wire=config.truth_wire,
         )
         service = RecommendationService(planner, config=config, backend=backend)
         chunks = _chunks(serving_workload)

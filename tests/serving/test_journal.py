@@ -294,28 +294,6 @@ class TestServiceJournalIntegration:
         recovered.close()
         assert produced == sequential_oracle["plain"]["fingerprints"][32:]
 
-    def test_journal_under_pickle_config_recovers_under_columnar(
-        self, tmp_path, build_serving_planner, serving_workload, sequential_oracle
-    ):
-        chunks = self._chunks(serving_workload)
-        planner = build_serving_planner()
-        pickle_config = self._config(planner, tmp_path, truth_wire="pickle")
-        service = RecommendationService(planner, config=pickle_config)
-        produced = []
-        for chunk in chunks[:2]:
-            for response in service.results(service.submit(chunk)):
-                produced.append(recommendation_fingerprint(response.result))
-
-        columnar_config = dataclasses.replace(pickle_config, truth_wire="columnar")
-        recovered = RecommendationService.recover(
-            build_serving_planner(), tmp_path / "j", config=columnar_config
-        )
-        for chunk in chunks[2:]:
-            for response in recovered.results(recovered.submit(chunk)):
-                produced.append(recommendation_fingerprint(response.result))
-        recovered.close()
-        assert produced == sequential_oracle["plain"]["fingerprints"]
-
     def test_preseeded_planner_is_baselined_without_a_record(
         self, tmp_path, build_serving_planner, serving_workload
     ):

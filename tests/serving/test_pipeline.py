@@ -285,11 +285,11 @@ class TestWindowFaults:
                 self.fail_on_calls = set(fail_on_calls)
                 self.calls = 0
 
-            def execute_batch(self, queries, share_candidate_generation=True, plan=None):
+            def execute_batch(self, queries, plan=None):
                 self.calls += 1
                 if self.calls in self.fail_on_calls:
                     raise ServingError("transient shard failure")
-                return super().execute_batch(queries, share_candidate_generation, plan)
+                return super().execute_batch(queries, plan)
 
         planner = build_serving_planner()
         oracle_planner = build_serving_planner()

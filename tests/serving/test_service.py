@@ -9,6 +9,7 @@ crash resubmits its shards to a healthy worker, close()/context-manager
 shutdown, double collection, and the bounded submission queue.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -369,11 +370,11 @@ class TestLifecycle:
                 super().__init__()
                 self.fail_next = True
 
-            def execute_batch(self, queries, share_candidate_generation=True, plan=None):
+            def execute_batch(self, queries, plan=None):
                 if self.fail_next:
                     self.fail_next = False
                     raise ServingError("transient backend failure")
-                return super().execute_batch(queries, share_candidate_generation, plan)
+                return super().execute_batch(queries, plan)
 
         planner = build_serving_planner()
         with RecommendationService(planner, backend=FlakyBackend()) as service:
@@ -391,6 +392,62 @@ class TestLifecycle:
         RecommendationService(build_serving_planner(), backend=pooled)
         with pytest.raises(ServingError):
             RecommendationService(build_serving_planner(), backend=pooled)
+
+
+class TestExplicitPlanValidation:
+    """A plan that does not partition its batch is rejected before anything
+    executes: no truth is recorded and no statistic moves, so retrying the
+    batch cannot double-record anything."""
+
+    @staticmethod
+    def _malformed_plans(plan, num_queries):
+        first, second = plan.shards[0], plan.shards[1]
+        dropped = dataclasses.replace(first, indices=first.indices[:-1])
+        duplicated = dataclasses.replace(second, indices=second.indices + first.indices[:1])
+        out_of_range = dataclasses.replace(first, indices=first.indices + (num_queries,))
+        return {
+            "dropped": (dropped,) + plan.shards[1:],
+            "duplicated": (first, duplicated) + plan.shards[2:],
+            "out_of_range": (out_of_range,) + plan.shards[1:],
+        }
+
+    @pytest.mark.parametrize(
+        "use_processes", [False, pytest.param(True, marks=needs_fork)]
+    )
+    def test_malformed_plan_leaves_parent_untouched(
+        self, build_serving_planner, serving_workload, use_processes
+    ):
+        workload = list(serving_workload[:60])
+        oracle = [
+            recommendation_fingerprint(result)
+            for result in build_serving_planner().recommend_batch(workload)
+        ]
+        planner = build_serving_planner()
+        backend = PooledBackend(pool_size=2, use_processes=use_processes)
+        with RecommendationService(planner, backend=backend) as service:
+            plan = planner.shard_plan(workload, 2)
+            assert len(plan.shards) >= 2
+            truths_before = len(planner.truths)
+            statistics_before = planner.statistics.as_dict()
+            for name, shards in self._malformed_plans(plan, len(workload)).items():
+                bad = dataclasses.replace(plan, shards=shards)
+                with pytest.raises(ServingError, match="does not partition"):
+                    service.recommend_batch(workload, plan=bad)
+                assert len(planner.truths) == truths_before, name
+                assert planner.statistics.as_dict() == statistics_before, name
+            assert _fingerprints(service.recommend_batch(workload, plan=plan)) == oracle
+
+    def test_plan_for_another_batch_size_is_rejected(
+        self, build_serving_planner, serving_workload
+    ):
+        workload = list(serving_workload[:60])
+        planner = build_serving_planner()
+        backend = PooledBackend(pool_size=2, use_processes=False)
+        with RecommendationService(planner, backend=backend) as service:
+            plan = planner.shard_plan(workload, 2)
+            with pytest.raises(ServingError, match="does not partition"):
+                service.recommend_batch(workload[:-1], plan=plan)
+            assert len(planner.truths) == 0
 
 
 @pytest.mark.property

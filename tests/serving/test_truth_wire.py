@@ -5,8 +5,8 @@ exact ``VerifiedTruth`` objects a pickled delta would have delivered —
 including ids (the lookup tie-break), endpoint coordinates, paths, metadata
 and enum-like strings — for any delta a :class:`TruthDatabase` can hold,
 empty deltas and merge-cadence sync deltas included.  Service-level tests
-pin that a pooled service on the columnar wire is fingerprint-identical to
-the pickle wire and the sequential oracle.
+pin that a pooled service streaming columnar deltas is fingerprint-identical
+to the sequential oracle.
 """
 
 import pickle
@@ -14,9 +14,7 @@ import pickle
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.config import ServiceConfig
 from repro.core.truth import TruthDatabase, VerifiedTruth
-from repro.exceptions import ServingError
 from repro.routing.base import CandidateRoute, RouteQuery
 from repro.serving import (
     PooledBackend,
@@ -185,9 +183,7 @@ class TestServiceWireParity:
     def test_columnar_wire_matches_pickle_wire_and_oracle(
         self, build_serving_planner, serving_workload, sequential_oracle
     ):
-        columnar = self._run(build_serving_planner, serving_workload, truth_wire="columnar")
-        pickled = self._run(build_serving_planner, serving_workload, truth_wire="pickle")
-        assert columnar == pickled
+        columnar = self._run(build_serving_planner, serving_workload)
         assert columnar[0] == sequential_oracle["plain"]["fingerprints"]
         assert columnar[2] == sequential_oracle["plain"]["truths"]
 
@@ -196,17 +192,5 @@ class TestServiceWireParity:
     ):
         """merge_every_batches > 1 leaves idle workers dirty between
         cadences; the catch-up sync ships columnar deltas too."""
-        responses = self._run(
-            build_serving_planner, serving_workload,
-            truth_wire="columnar", merge_every_batches=3,
-        )
+        responses = self._run(build_serving_planner, serving_workload, merge_every_batches=3)
         assert responses[0] == sequential_oracle["plain"]["fingerprints"]
-
-    def test_config_knob_validation(self, build_serving_planner):
-        with pytest.raises(ServingError):
-            PooledBackend(pool_size=1, truth_wire="msgpack")
-        config = ServiceConfig.from_planner_config(
-            build_serving_planner().config, backend="pooled", truth_wire="pickle"
-        )
-        assert config.truth_wire == "pickle"
-        assert "truth_wire" in config.to_dict()
